@@ -13,11 +13,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use aqt_graph::{topologies, Route};
+use aqt_graph::{topologies, EdgeId, Route};
 use aqt_protocols::Fifo;
-use aqt_sim::{Engine, EngineConfig, RingSink, TelemetryConfig};
+use aqt_sim::{Engine, EngineConfig, RingSink, ShardPlan, TelemetryConfig};
 
 /// System allocator with a global counter on every acquiring call
 /// (alloc, alloc_zeroed, realloc). Deallocations are free of interest:
@@ -51,12 +51,22 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The counter is process-wide (it must see the shard pool's worker
+/// threads), so the tests hold this lock for their whole body: another
+/// test's set-up must not allocate inside a measured window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// The benchmark's drain workload: 20 000 unit-route packets seeded on
 /// the first edge of `line(256)`, drained one send/absorb per step.
 /// After a short warm-up (scratch buffers at capacity, metrics
 /// settled), 2 000 further steps must perform zero heap allocations.
 #[test]
 fn steady_state_drain_steps_do_not_allocate() {
+    let _serial = serial();
     let graph = Arc::new(topologies::line(256));
     let e0 = graph.edge_ids().next().expect("line has edges");
     let unit = Route::single(&graph, e0).expect("unit route");
@@ -97,6 +107,7 @@ fn steady_state_drain_steps_do_not_allocate() {
 /// the per-step fast path.
 #[test]
 fn telemetry_enabled_drain_steps_do_not_allocate() {
+    let _serial = serial();
     let graph = Arc::new(topologies::line(256));
     let e0 = graph.edge_ids().next().expect("line has edges");
     let unit = Route::single(&graph, e0).expect("unit route");
@@ -129,5 +140,52 @@ fn telemetry_enabled_drain_steps_do_not_allocate() {
     assert!(
         counters.packets_absorbed >= 2_100,
         "telemetry observed the drain"
+    );
+}
+
+/// Steady-state *sharded* steps: two shards on a striped `ring(64)`,
+/// so every hop crosses a shard boundary and goes through the outbox,
+/// merge and both phase handoffs of the shard pool. The counter is
+/// process-wide, so the worker thread's allocations count too: after
+/// warm-up (outboxes and merge buffers at capacity), 2 000 steps and
+/// 4 000 handoffs must perform zero heap allocations.
+#[test]
+fn sharded_drain_steps_do_not_allocate() {
+    let _serial = serial();
+    let graph = Arc::new(topologies::ring(64));
+    let route = |start: u32| {
+        let ids: Vec<EdgeId> = (start..start + 8).map(|e| EdgeId(e % 64)).collect();
+        Route::new(&graph, ids).expect("contiguous ring edges")
+    };
+    let mut eng = Engine::new(
+        Arc::clone(&graph),
+        Fifo,
+        EngineConfig {
+            sample_every: 0,
+            ..Default::default()
+        },
+    );
+    eng.set_shards(ShardPlan::striped(graph.edge_count(), 2))
+        .expect("FIFO shards");
+    for start in [0, 32] {
+        eng.seed_cohort(route(start), 0, 5_000).expect("seeding");
+    }
+
+    eng.run_quiet(100).expect("warm-up");
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    eng.run_quiet(2_000).expect("measured drain");
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state sharded drain must be allocation-free: {} allocations in 2000 steps",
+        after - before
+    );
+    assert_eq!(eng.shard_count(), 2);
+    assert!(
+        eng.metrics().absorbed() >= 2 * 2_000,
+        "drain actually progressed"
     );
 }

@@ -271,6 +271,49 @@ fn e18_smoke_is_bit_identical_at_2_4_8_shards() {
     }
 }
 
+/// A tiny graph stepped for many steps: each step does almost no work,
+/// so nearly every phase handoff lands on the shard pool's spin path
+/// (E18's few long steps park instead). Tens of thousands of handoffs
+/// at 2 and 4 shards must leave the trajectory equal to the sequential
+/// one.
+#[test]
+fn tiny_ring_many_steps_is_bit_identical_at_2_4_shards() {
+    let g = Arc::new(topologies::ring(16));
+    // Route of `len` contiguous ring edges starting at edge `start`.
+    let route = |start: u64, len: u64| {
+        let ids: Vec<EdgeId> = (start..start + len)
+            .map(|e| EdgeId((e % 16) as u32))
+            .collect();
+        Route::new(&g, ids).expect("contiguous ring edges")
+    };
+    let run = |name: &str, shards: usize| {
+        let mut eng = Engine::new(Arc::clone(&g), by_name(name, 5).unwrap(), config());
+        if shards > 1 {
+            eng.set_shards(ShardPlan::striped(16, shards)).unwrap();
+        }
+        for t in 1..=10_000u64 {
+            let inj: Vec<Injection> = (0..t % 3)
+                .map(|k| Injection::new(route(t * 7 + k, 1 + (t + k) % 5), t as u32))
+                .collect();
+            eng.step(inj).unwrap();
+        }
+        eng
+    };
+    for name in ["FIFO", "LIS"] {
+        let seq = run(name, 1);
+        assert!(seq.metrics().absorbed() > 9_000, "{name}: traffic flowed");
+        for shards in [2usize, 4] {
+            let eng = run(name, shards);
+            assert_eq!(
+                snapshot::capture(&eng),
+                snapshot::capture(&seq),
+                "{name} @ {shards} shards diverged from sequential"
+            );
+            assert_counters_equal(eng.metrics(), seq.metrics());
+        }
+    }
+}
+
 /// `set_shards` guards: a protocol without a `Discipline` fast path
 /// (RANDOM's `select` is stateful) is rejected for count > 1; a
 /// wrong-size plan is rejected; count 1 normalizes to the sequential
