@@ -11,10 +11,11 @@
 //! [`SaturatingAdversary::with_model`] saturates *any* composed
 //! [`AdversaryModel`] — `(w,r)` windows, `(ρ,σ,L)` locally bursty
 //! classes, buffer bounds, or their conjunctions — because the greedy
-//! loop only consults [`Constraint::headroom`]. Legality is checked,
-//! not assumed: the tracker records every injection it emits, and the
-//! per-constraint tests re-validate the stream with an independent
-//! model.
+//! loop only consults [`Constraint::headroom`], and skips the routes
+//! whose edges [`Constraint::blocked_until`] has shown full. Legality
+//! is checked, not assumed: the tracker records every injection it
+//! emits, and the per-constraint tests re-validate the stream with an
+//! independent model.
 
 use aqt_graph::{EdgeId, Graph, NodeId, Route};
 use aqt_sim::engine::Injection;
@@ -84,6 +85,12 @@ pub struct SaturatingAdversary {
     rng: StdRng,
     /// Max injection attempts per step (bounds per-step work).
     attempts_per_step: usize,
+    /// Per route: no injection fits on it before this time.
+    route_free: Vec<Time>,
+    /// Per edge: the latest [`Constraint::blocked_until`] bound seen,
+    /// refreshed when the adversary injects on the edge or finds it
+    /// blocked.
+    edge_free: Vec<Time>,
 }
 
 impl SaturatingAdversary {
@@ -120,6 +127,8 @@ impl SaturatingAdversary {
         assert!(!routes.is_empty(), "need at least one candidate route");
         let attempts_per_step = (routes.len() * 4).clamp(16, 512);
         SaturatingAdversary {
+            route_free: vec![0; routes.len()],
+            edge_free: vec![0; graph.edge_count()],
             routes,
             tracker: spec.build(graph.edge_count()),
             style,
@@ -140,32 +149,51 @@ impl SaturatingAdversary {
     }
 
     /// Produce the injections for step `t` (monotone increasing calls).
+    ///
+    /// Each attempt draws a route and injects it if every edge has
+    /// headroom. Routes and edges the model has already shown blocked
+    /// at `t` are skipped without asking it again, which changes no
+    /// decision: a blocked bound stays valid as injections accumulate
+    /// (see [`Constraint`]), so the draws, and with them the injection
+    /// stream, are those of asking every time.
     pub fn injections_for(&mut self, t: Time) -> Vec<Injection> {
-        if self.style == InjectionStyle::Spread {
-            // In spread mode only act when t is "due": inject at most
-            // one candidate per step per route attempt round.
-            // (Headroom still rules.)
-        }
         let mut out = Vec::new();
         for _ in 0..self.attempts_per_step {
             let idx = self.rng.gen_range(0..self.routes.len());
+            if self.route_free[idx] > t {
+                continue;
+            }
             let route = &self.routes[idx];
-            let fits = route
+            let known = route
                 .edges()
                 .iter()
-                .all(|&e| self.tracker.headroom(e, t) >= 1);
-            if fits {
-                for &e in route.edges() {
-                    self.tracker
-                        .observe(e, t)
-                        .expect("headroom was checked; observe cannot fail");
-                }
-                out.push(Injection::new(route.clone(), idx as u32));
-                if self.style == InjectionStyle::Spread && !out.is_empty() {
-                    break;
-                }
-            } else if self.style == InjectionStyle::Burst {
+                .map(|&e| self.edge_free[e.index()])
+                .max()
+                .unwrap_or(0);
+            if known > t {
+                self.route_free[idx] = known;
                 continue;
+            }
+            let blocked = route
+                .edges()
+                .iter()
+                .find(|&&e| self.tracker.headroom(e, t) == 0);
+            if let Some(&e) = blocked {
+                // Blocked now means blocked for the rest of step `t`.
+                let b = self.tracker.blocked_until(e, t).max(t.saturating_add(1));
+                self.edge_free[e.index()] = b;
+                self.route_free[idx] = b;
+                continue;
+            }
+            for &e in route.edges() {
+                self.tracker
+                    .observe(e, t)
+                    .expect("headroom was checked; observe cannot fail");
+                self.edge_free[e.index()] = self.tracker.blocked_until(e, t);
+            }
+            out.push(Injection::new(route.clone(), idx as u32));
+            if self.style == InjectionStyle::Spread {
+                break;
             }
         }
         out
@@ -176,6 +204,106 @@ impl SaturatingAdversary {
 mod tests {
     use super::*;
     use aqt_graph::topologies;
+    use aqt_sim::ConstraintSpec;
+
+    /// The saturating loop without caches: asks the model about every
+    /// drawn route. The oracle for the cached loop's stream.
+    struct CheckEveryAttempt {
+        routes: Vec<Route>,
+        tracker: AdversaryModel,
+        style: InjectionStyle,
+        rng: StdRng,
+        attempts_per_step: usize,
+    }
+
+    impl CheckEveryAttempt {
+        fn new(
+            graph: &Graph,
+            spec: &AdversaryModelSpec,
+            routes: Vec<Route>,
+            style: InjectionStyle,
+            seed: u64,
+        ) -> Self {
+            CheckEveryAttempt {
+                attempts_per_step: (routes.len() * 4).clamp(16, 512),
+                routes,
+                tracker: spec.build(graph.edge_count()),
+                style,
+                rng: StdRng::seed_from_u64(seed),
+            }
+        }
+
+        fn injections_for(&mut self, t: Time) -> Vec<Injection> {
+            let mut out = Vec::new();
+            for _ in 0..self.attempts_per_step {
+                let idx = self.rng.gen_range(0..self.routes.len());
+                let route = &self.routes[idx];
+                if route
+                    .edges()
+                    .iter()
+                    .all(|&e| self.tracker.headroom(e, t) >= 1)
+                {
+                    for &e in route.edges() {
+                        self.tracker.observe(e, t).expect("headroom was checked");
+                    }
+                    out.push(Injection::new(route.clone(), idx as u32));
+                    if self.style == InjectionStyle::Spread {
+                        break;
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    /// The cached loop emits exactly the `(step, tag, count)` stream of
+    /// the check-every-attempt loop, for every member, the composed
+    /// model, both styles, several seeds, a one-route pool and a model
+    /// that admits nothing (`⌊wr⌋ = 0`).
+    #[test]
+    fn cached_loop_emits_the_check_every_attempt_stream() {
+        let g = topologies::torus(4, 4);
+        let composed = AdversaryModelSpec::window(12, Ratio::new(1, 3))
+            .and(ConstraintSpec::BurstLocal {
+                rho: Ratio::new(1, 4),
+                sigma: 2,
+                locality: 6,
+            })
+            .and(ConstraintSpec::BufferBound { bound: 4 });
+        // (model, whether it admits any injection)
+        let specs = [
+            (AdversaryModelSpec::window(12, Ratio::new(1, 3)), true),
+            (AdversaryModelSpec::window(3, Ratio::new(1, 4)), false),
+            (AdversaryModelSpec::rate(Ratio::new(2, 7)), true),
+            (
+                AdversaryModelSpec::burst_local(Ratio::new(1, 4), 2, 6),
+                true,
+            ),
+            (AdversaryModelSpec::buffer_bound(2), true),
+            (composed, true),
+        ];
+        for (spec, admits) in &specs {
+            for style in [InjectionStyle::Burst, InjectionStyle::Spread] {
+                for seed in [1u64, 7, 42] {
+                    for pool in [24, 1] {
+                        let routes = random_routes(&g, 3, pool, seed);
+                        let mut adv =
+                            SaturatingAdversary::with_model(&g, spec, routes.clone(), style, seed);
+                        let mut oracle = CheckEveryAttempt::new(&g, spec, routes, style, seed);
+                        let (mut got, mut want) = (Vec::new(), Vec::new());
+                        for t in 1..=2_000 {
+                            got.extend(adv.injections_for(t).iter().map(|i| (t, i.tag, i.count)));
+                            want.extend(
+                                oracle.injections_for(t).iter().map(|i| (t, i.tag, i.count)),
+                            );
+                        }
+                        assert_eq!(got, want, "{spec} {style:?} seed {seed} pool {pool}");
+                        assert_eq!(!got.is_empty(), *admits, "{spec} {style:?}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn random_routes_are_simple_and_bounded() {

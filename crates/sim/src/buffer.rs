@@ -23,7 +23,7 @@
 //!   store keeps one active list *per shard* — edge `e` is listed in
 //!   `lists[shard_of[e]]` — so each shard's send substep walks only its
 //!   own list and the lists can be maintained concurrently through the
-//!   disjoint raw view ([`BufferStore::sharded_view`]). Unsharded
+//!   disjoint raw view (`BufferStore::sharded_view`). Unsharded
 //!   stores have exactly one list; the partition is representation
 //!   only and never affects trajectories.
 //!
@@ -274,9 +274,9 @@ impl BufferStore {
 
     /// Entries in the active list (valid between `begin_step` calls).
     /// Single-list (unsharded) stores only; the sharded send path walks
-    /// per-shard lists through [`BufferStore::sharded_view`], and the
+    /// per-shard lists through `BufferStore::sharded_view`, and the
     /// sharded *sequential* fallback uses
-    /// [`BufferStore::merged_active`].
+    /// `BufferStore::merged_active`.
     #[inline]
     pub fn active_count(&self) -> usize {
         debug_assert_eq!(self.lists.len(), 1);

@@ -120,7 +120,24 @@ impl std::error::Error for RateViolation {}
 /// * `observe` is `O(1)` amortized per event;
 /// * `headroom(e, t)` is the largest `m` such that `m` further
 ///   `observe(e, t)` calls would all succeed — the saturating
-///   adversary builders inject exactly this much.
+///   adversary builders inject exactly this much. It is 0 for a `t`
+///   earlier than the edge's last recorded time, which `observe`
+///   would reject as non-monotone;
+/// * `blocked_until(e, t)` is a lower bound on when `e` next has
+///   headroom: some `b ≥ t` with `headroom(e, t') == 0` for every
+///   `t'` in `[t, b)`. Returning `t` means "no information", and is
+///   the default.
+///
+/// Queries (`headroom`, `blocked_until`) may forget history that has
+/// left the constraint's horizon at the queried time, so like
+/// `observe` they must be made at non-decreasing times per edge.
+///
+/// A `blocked_until` bound stays valid while more injections are
+/// observed. Every member bounds the injections in each interval `I`
+/// by some `f(|I|)`, so its legal streams are closed under removing
+/// injections. Hence an event observed now can never raise a later
+/// headroom: if `m` more events at `t'` fit after it, they also fit
+/// without it. A caller may cache the bound across its own injections.
 pub trait Constraint {
     /// Record that a packet requiring `edge` was injected at `time`.
     fn observe(&mut self, edge: EdgeId, time: Time) -> Result<(), RateViolation>;
@@ -136,6 +153,20 @@ pub trait Constraint {
     /// How many more packets requiring `edge` could be injected at
     /// `time` without breaking the constraint.
     fn headroom(&mut self, edge: EdgeId, time: Time) -> u64;
+
+    /// Some `b ≥ time` such that `headroom(edge, t') == 0` for every
+    /// `t'` in `[time, b)`: the edge cannot take an injection before
+    /// `b`. The default, `time`, claims nothing.
+    fn blocked_until(&mut self, edge: EdgeId, time: Time) -> Time {
+        let _ = edge;
+        time
+    }
+}
+
+/// `⌊x / d⌋` for `d > 0`, as a time: 0 below zero, [`Time::MAX`] above
+/// it.
+fn floor_div_time(x: i128, d: i128) -> Time {
+    Time::try_from(x.div_euclid(d).max(0)).unwrap_or(Time::MAX)
 }
 
 // ---------------------------------------------------------------------
@@ -558,6 +589,21 @@ impl Constraint for RateValidator {
             }
         }
     }
+
+    /// With `X = den·k − min H`, an injection at `t` fits iff
+    /// `num·(t+1) > X`, so the edge is blocked exactly for
+    /// `t < ⌊X/num⌋` (and before its last record).
+    fn blocked_until(&mut self, edge: EdgeId, time: Time) -> Time {
+        let Some(st) = self.states[edge.index()] else {
+            return time;
+        };
+        let num = self.rate.num() as i128;
+        let den = self.rate.den() as i128;
+        let from = time.max(st.last_time);
+        den.checked_mul(st.count as i128)
+            .and_then(|dk| dk.checked_sub(st.min_h))
+            .map_or(from, |x| from.max(floor_div_time(x, num)))
+    }
 }
 
 /// Reference implementation of the rate-r constraint: checks **all**
@@ -636,24 +682,38 @@ impl WindowValidator {
         }
     }
 
-    /// Record that a packet requiring `edge` was injected at `time`.
-    /// Times must be non-decreasing per edge.
-    pub fn record(&mut self, edge: EdgeId, time: Time) -> Result<(), RateViolation> {
+    /// The earliest time at or after `time` at which `record` would
+    /// consider `edge` at all: the edge's last record time when `time`
+    /// is earlier (a non-monotone record is refused), else `time`.
+    fn monotone_from(&self, edge: EdgeId, time: Time) -> Time {
+        self.recent[edge.index()]
+            .back()
+            .map_or(time, |&last| time.max(last))
+    }
+
+    /// The edge's record times inside the window ending at `time`,
+    /// after dropping those that left it.
+    fn prune(&mut self, edge: EdgeId, time: Time) -> &std::collections::VecDeque<Time> {
         let dq = &mut self.recent[edge.index()];
-        if let Some(&last) = dq.back() {
-            if time < last {
-                return Err(RateViolation {
-                    edge,
-                    time,
-                    detail: format!("non-monotone record: {} after {}", time, last),
-                });
-            }
-        }
         let cutoff = time.saturating_sub(self.window - 1);
         while dq.front().is_some_and(|&t| t < cutoff) {
             dq.pop_front();
         }
-        if dq.len() >= self.budget {
+        dq
+    }
+
+    /// Record that a packet requiring `edge` was injected at `time`.
+    /// Times must be non-decreasing per edge.
+    pub fn record(&mut self, edge: EdgeId, time: Time) -> Result<(), RateViolation> {
+        let last = self.monotone_from(edge, time);
+        if last > time {
+            return Err(RateViolation {
+                edge,
+                time,
+                detail: format!("non-monotone record: {} after {}", time, last),
+            });
+        }
+        if self.prune(edge, time).len() >= self.budget {
             return Err(RateViolation {
                 edge,
                 time,
@@ -663,7 +723,7 @@ impl WindowValidator {
                 ),
             });
         }
-        dq.push_back(time);
+        self.recent[edge.index()].push_back(time);
         Ok(())
     }
 
@@ -682,12 +742,26 @@ impl Constraint for WindowValidator {
     }
 
     fn headroom(&mut self, edge: EdgeId, time: Time) -> u64 {
-        let dq = &mut self.recent[edge.index()];
-        let cutoff = time.saturating_sub(self.window - 1);
-        while dq.front().is_some_and(|&t| t < cutoff) {
-            dq.pop_front();
+        if self.monotone_from(edge, time) > time {
+            return 0;
         }
-        self.budget.saturating_sub(dq.len()) as u64
+        self.budget.saturating_sub(self.prune(edge, time).len()) as u64
+    }
+
+    /// Exact: the edge is full until its `budget`-th most recent
+    /// record `s` leaves the window, at `s + w`; never free when
+    /// `⌊wr⌋ = 0`.
+    fn blocked_until(&mut self, edge: EdgeId, time: Time) -> Time {
+        if self.budget == 0 {
+            return Time::MAX;
+        }
+        let (budget, window) = (self.budget, self.window);
+        let from = self.monotone_from(edge, time);
+        let dq = self.prune(edge, from);
+        match dq.len().checked_sub(budget) {
+            Some(i) => dq[i].saturating_add(window),
+            None => from,
+        }
     }
 }
 
@@ -920,6 +994,44 @@ impl Constraint for BurstLocalValidator {
         };
         short.min(long)
     }
+
+    /// Sound, not exact: the union of two blocked spans that start at
+    /// `time`. The short one lasts while the `L`-window still holds
+    /// `⌊ρL⌋ + σ` records, until the oldest of the latest that many
+    /// leaves it at `s + L`. The long one lasts while
+    /// `H − min H_old > den·(σ−1) + num`, i.e. for
+    /// `num·t < den·k − min H_old − den·(σ−1) − num`. Aging only lowers
+    /// `min H_old`, so the minimum taken now keeps that span sound.
+    fn blocked_until(&mut self, edge: EdgeId, time: Time) -> Time {
+        // Either way `headroom` is 0 at every time.
+        let Some(slack) = self.long_slack() else {
+            return Time::MAX;
+        };
+        if self.short_budget == 0 {
+            return Time::MAX;
+        }
+        let num = self.rho.num() as i128;
+        let den = self.rho.den() as i128;
+        let (short_budget, locality) = (self.short_budget, self.locality);
+        let st = &mut self.states[edge.index()];
+        let from = if st.count > 0 {
+            time.max(st.last_time)
+        } else {
+            time
+        };
+        Self::age_out(st, from.saturating_sub(locality - 1));
+        let short = (st.recent.len() as u64)
+            .checked_sub(short_budget)
+            .map_or(from, |i| st.recent[i as usize].0.saturating_add(locality));
+        let long = st.min_h_old.and_then(|min_old| {
+            let y = den
+                .checked_mul(st.count as i128)?
+                .checked_sub(min_old)?
+                .checked_sub(slack)?;
+            Some(floor_div_time(y.checked_add(num - 1)?, num))
+        });
+        from.max(short).max(long.unwrap_or(from))
+    }
 }
 
 /// Reference implementation of the `(ρ,σ,L)` constraint: checks all
@@ -1080,6 +1192,17 @@ impl Constraint for BufferBoundValidator {
             }
         }
     }
+
+    /// Exact: an injection at `t` fits iff `G = k − t` stays within
+    /// `B` of the minimum, so the edge is blocked exactly for
+    /// `t < k − min G − B` (and before its last record).
+    fn blocked_until(&mut self, edge: EdgeId, time: Time) -> Time {
+        let Some(st) = self.states[edge.index()] else {
+            return time;
+        };
+        let x = st.count as i128 - st.min_g - self.bound as i128;
+        time.max(st.last_time).max(floor_div_time(x, 1))
+    }
 }
 
 /// Reference implementation of the buffer-bound constraint — tests
@@ -1148,6 +1271,15 @@ impl Constraint for ConstraintValidator {
             ConstraintValidator::BufferBound(v) => v.headroom(edge, time),
         }
     }
+
+    fn blocked_until(&mut self, edge: EdgeId, time: Time) -> Time {
+        match self {
+            ConstraintValidator::Rate(v) => v.blocked_until(edge, time),
+            ConstraintValidator::Window(v) => v.blocked_until(edge, time),
+            ConstraintValidator::BurstLocal(v) => v.blocked_until(edge, time),
+            ConstraintValidator::BufferBound(v) => v.blocked_until(edge, time),
+        }
+    }
 }
 
 /// The runtime composed model: every member observes every event, and
@@ -1194,6 +1326,15 @@ impl Constraint for AdversaryModel {
             .map(|m| m.headroom(edge, time))
             .min()
             .unwrap_or(u64::MAX)
+    }
+
+    /// The model is blocked wherever any member is, so the latest
+    /// member bound holds for the conjunction.
+    fn blocked_until(&mut self, edge: EdgeId, time: Time) -> Time {
+        self.members
+            .iter_mut()
+            .map(|m| m.blocked_until(edge, time))
+            .fold(time, Time::max)
     }
 }
 
@@ -1372,6 +1513,30 @@ mod tests {
         v.record(E, 1).unwrap();
         assert_eq!(v.headroom(E, 1), 2);
         assert_eq!(v.headroom(E, 11), 3); // window slid past time 1
+    }
+
+    #[test]
+    fn window_headroom_and_record_agree_on_a_back_dated_time() {
+        let mut v = WindowValidator::new(10, Ratio::new(1, 2), 1); // budget 5
+        v.record(E, 5).unwrap();
+        assert_eq!(v.headroom(E, 4), 0, "record refuses time 4 after time 5");
+        assert!(v.clone().record(E, 4).is_err());
+        assert_eq!(v.blocked_until(E, 4), 5, "blocked until the last record");
+        assert_eq!(v.headroom(E, 5), 4);
+        v.record(E, 5).unwrap();
+    }
+
+    #[test]
+    fn window_blocked_until_is_when_the_window_frees() {
+        let mut v = WindowValidator::new(10, Ratio::new(1, 5), 1); // budget 2
+        assert_eq!(v.blocked_until(E, 1), 1, "free edge: no claim");
+        v.record(E, 1).unwrap();
+        v.record(E, 3).unwrap();
+        assert_eq!(v.blocked_until(E, 3), 11, "time 1 leaves the window at 11");
+        assert_eq!(v.headroom(E, 10), 0);
+        assert_eq!(v.headroom(E, 11), 1);
+        let mut never = WindowValidator::new(3, Ratio::new(1, 4), 1); // budget 0
+        assert_eq!(never.blocked_until(E, 1), Time::MAX);
     }
 
     #[test]

@@ -55,7 +55,7 @@
 //! cost; a step still waits for its slowest shard, which
 //! [`crate::TelemetryCounters::shard_barrier_ns`] measures. The
 //! raw-pointer views ([`crate::buffer`]'s `ShardedBuffers`, the
-//! [`SharedMut`] wrappers here) exist so each thread forms `&mut` only
+//! `SharedMut` wrappers here) exist so each thread forms `&mut` only
 //! to the slots its shard owns; the safety argument is local to each
 //! use site.
 

@@ -209,6 +209,158 @@ proptest! {
     }
 }
 
+/// How far past a probe the blocked span is checked time by time.
+const BLOCKED_HORIZON: u64 = 64;
+
+/// Check `blocked_until` for `spec` after the legal prefix of the
+/// stream `gaps` describes (up to the model's first rejection), at each
+/// probe `last + offset`, where `last` is the prefix's final time. The
+/// bound `b` must be at least the probe `t`. At every `t'` in `[t, b)`
+/// the brute-force reference must reject one extra injection and the
+/// model must report no headroom. When `exact`, one extra injection at
+/// `b` must be legal.
+fn check_blocked_until(
+    spec: &AdversaryModelSpec,
+    gaps: &[u64],
+    offsets: &[u64],
+    exact: bool,
+) -> Result<(), TestCaseError> {
+    let e = EdgeId(0);
+    let mut times = Vec::new();
+    let mut t = 0u64;
+    for g in gaps {
+        t += g;
+        times.push(t);
+        if !brute_force_model_check(spec, &[(e, times.clone())]) {
+            times.pop();
+            break;
+        }
+    }
+    // Built from the legal prefix alone: a composed model's rejected
+    // observe leaves the members before the rejecting one updated.
+    let mut model = spec.build(1);
+    for &t in &times {
+        model
+            .observe(e, t)
+            .map_err(|err| TestCaseError::fail(format!("{err}")))?;
+    }
+    let last = times.last().copied().unwrap_or(0);
+    let legal_with = |extra: u64| {
+        let mut with = times.clone();
+        with.push(extra);
+        brute_force_model_check(spec, &[(e, with)])
+    };
+    for &off in offsets {
+        let t = last + off;
+        let mut probe = model.clone();
+        let b = probe.blocked_until(e, t);
+        prop_assert!(
+            b >= t,
+            "spec={} times={:?}: bound {} < probe {}",
+            spec,
+            times,
+            b,
+            t
+        );
+        for x in t..b.min(t + BLOCKED_HORIZON) {
+            prop_assert!(
+                !legal_with(x),
+                "spec={} times={:?}: blocked_until({})={} but an injection at {} is legal",
+                spec,
+                times,
+                t,
+                b,
+                x
+            );
+            prop_assert_eq!(probe.headroom(e, x), 0);
+        }
+        if exact && b < u64::MAX {
+            prop_assert!(
+                legal_with(b),
+                "spec={} times={:?}: blocked_until({})={} is not tight",
+                spec,
+                times,
+                t,
+                b
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The rate-r bound is sound and exact.
+    #[test]
+    fn rate_blocked_until_is_exact(
+        num in 1u64..12,
+        gaps in prop::collection::vec(0u64..4, 0..40),
+        offsets in prop::collection::vec(0u64..24, 1..6),
+    ) {
+        let spec = AdversaryModelSpec::rate(Ratio::new(num, 12));
+        check_blocked_until(&spec, &gaps, &offsets, true)?;
+    }
+
+    /// The (w, r) bound is sound and exact, including `⌊wr⌋ = 0`.
+    #[test]
+    fn window_blocked_until_is_exact(
+        w in 1u64..10,
+        num in 1u64..10,
+        gaps in prop::collection::vec(0u64..3, 0..40),
+        offsets in prop::collection::vec(0u64..16, 1..6),
+    ) {
+        let spec = AdversaryModelSpec::window(w, Ratio::new(num, 10));
+        check_blocked_until(&spec, &gaps, &offsets, true)?;
+    }
+
+    /// The `(rho, sigma, L)` bound is sound (not claimed exact).
+    #[test]
+    fn burst_local_blocked_until_is_sound(
+        num in 1u64..8,
+        sigma in 0u64..5,
+        locality in 1u64..10,
+        gaps in prop::collection::vec(0u64..4, 0..40),
+        offsets in prop::collection::vec(0u64..24, 1..6),
+    ) {
+        let spec = AdversaryModelSpec::burst_local(Ratio::new(num, 8), sigma, locality);
+        check_blocked_until(&spec, &gaps, &offsets, false)?;
+    }
+
+    /// The buffer-bound-`B` bound is sound and exact.
+    #[test]
+    fn buffer_bound_blocked_until_is_exact(
+        bound in 0u64..8,
+        gaps in prop::collection::vec(0u64..3, 0..40),
+        offsets in prop::collection::vec(0u64..16, 1..6),
+    ) {
+        let spec = AdversaryModelSpec::buffer_bound(bound);
+        check_blocked_until(&spec, &gaps, &offsets, true)?;
+    }
+
+    /// The composed model's bound (the latest member bound) is sound.
+    #[test]
+    fn composed_blocked_until_is_sound(
+        w in 1u64..10,
+        wnum in 1u64..10,
+        bnum in 1u64..8,
+        sigma in 0u64..5,
+        locality in 1u64..10,
+        bound in 0u64..8,
+        gaps in prop::collection::vec(0u64..3, 0..40),
+        offsets in prop::collection::vec(0u64..16, 1..6),
+    ) {
+        let spec = AdversaryModelSpec::window(w, Ratio::new(wnum, 10))
+            .and(ConstraintSpec::BurstLocal {
+                rho: Ratio::new(bnum, 8),
+                sigma,
+                locality,
+            })
+            .and(ConstraintSpec::BufferBound { bound });
+        check_blocked_until(&spec, &gaps, &offsets, false)?;
+    }
+}
+
 /// The shared 3-way composition for the single-member-violation tests:
 /// window(10, 1/2) ∘ burst_local(1/2, 2, 4) ∘ buffer_bound(1), i.e.
 /// window budget 5, short-interval budget ⌊ρL⌋+σ = 4, burst cap |I|+1.
