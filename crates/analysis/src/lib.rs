@@ -11,17 +11,11 @@
 //!   experiment harness.
 //! * [`series`] — sparklines and peak-preserving downsampling for
 //!   terminal output.
-//! * [`trend`] — the Mann–Kendall nonparametric trend test (a second
-//!   opinion for noisy backlog series).
-//! * [`histogram`] — power-of-two bucket histograms for wait/latency
-//!   distributions.
 
-pub mod histogram;
 pub mod report;
 pub mod series;
 pub mod stability;
 pub mod stats;
-pub mod trend;
 
 pub use report::Table;
 pub use stability::{classify_series, Verdict};

@@ -1,8 +1,7 @@
 //! Engine hot-path benchmark: the staged pipeline (active-edge set +
-//! discipline fast paths) against the retained pre-refactor reference
-//! loop (`EngineConfig::reference_pipeline`), plus the pipeline with
-//! the runtime sentinel attached at its default cadence, on the three
-//! workloads the layering targets:
+//! discipline fast paths) bare, with the runtime sentinel attached at
+//! its default cadence, with full telemetry, and with the queue
+//! observatory, on the three workloads the layering targets:
 //!
 //! * **instability** — a recorded Theorem 3.17 `G_ε` run replayed end
 //!   to end (huge backlogs on a handful of edges, `Extend` reroutes);
@@ -12,7 +11,7 @@
 //!   255 buffers stay empty (the pure active-set case).
 //!
 //! Besides the criterion output, writes `BENCH_engine.json` at the
-//! repository root with steps/sec for all five modes (the
+//! repository root with steps/sec for all four modes (the
 //! `sentinel_vs_pipeline`, `telemetry_vs_pipeline`, and
 //! `observe_vs_pipeline` ratios are the measured overheads of
 //! self-checking, of full instrumentation, and of the queue
@@ -39,8 +38,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 /// Pre-refactor seed measurements (commit 8270fdf, monolithic
 /// `Engine::step`, release profile, this container class) — the fixed
-/// "before the layering existed" reference alongside the in-binary
-/// reference-loop numbers measured fresh below.
+/// "before the layering existed" reference for the pipeline numbers
+/// measured fresh below.
 const SEED_BASELINE: &[(&str, f64)] = &[
     ("instability", 505_208.0),
     ("sweep", 171_209.0),
@@ -60,11 +59,9 @@ fn smoke() -> bool {
     std::env::var_os("BENCH_SMOKE").is_some()
 }
 
-/// The five engine configurations under comparison.
+/// The four engine configurations under comparison.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// Pre-refactor monolithic loop (`EngineConfig::reference_pipeline`).
-    Reference,
     /// The staged pipeline with discipline fast paths.
     Pipeline,
     /// The staged pipeline with the runtime sentinel at its default
@@ -86,7 +83,6 @@ enum Mode {
 impl Mode {
     fn label(self) -> &'static str {
         match self {
-            Mode::Reference => "reference",
             Mode::Pipeline => "pipeline",
             Mode::Sentinel => "sentinel",
             Mode::Telemetry => "telemetry",
@@ -96,11 +92,7 @@ impl Mode {
 
     /// A fresh engine for this mode on `graph`.
     fn engine(self, graph: &Arc<aqt_graph::Graph>) -> Engine<Fifo> {
-        let cfg = EngineConfig {
-            reference_pipeline: self == Mode::Reference,
-            ..Default::default()
-        };
-        let mut eng = Engine::new(Arc::clone(graph), Fifo, cfg);
+        let mut eng = Engine::new(Arc::clone(graph), Fifo, EngineConfig::default());
         if self == Mode::Sentinel {
             eng.attach_sentinel(SentinelConfig::default());
         }
@@ -116,8 +108,7 @@ impl Mode {
     }
 }
 
-const MODES: [Mode; 5] = [
-    Mode::Reference,
+const MODES: [Mode; 4] = [
     Mode::Pipeline,
     Mode::Sentinel,
     Mode::Telemetry,
@@ -259,7 +250,7 @@ fn sharded_json(report: &E18Report) -> Json {
         .field("rows", rows)
 }
 
-fn write_json(results: &[(&str, [Sample; 5])], sharded: &E18Report) {
+fn write_json(results: &[(&str, [Sample; 4])], sharded: &E18Report) {
     let mut seed = Json::object().field(
         "note",
         "monolithic Engine::step measured before the layered refactor; \
@@ -289,10 +280,10 @@ fn write_json(results: &[(&str, [Sample; 5])], sharded: &E18Report) {
     let workloads: Vec<Json> = results
         .iter()
         .map(|(name, samples)| {
-            let [reference, pipeline, sentinel, telemetry, observe] = samples;
+            let [pipeline, sentinel, telemetry, observe] = samples;
             let mut w = Json::object()
                 .field("name", *name)
-                .field("steps", reference.steps);
+                .field("steps", pipeline.steps);
             for (mode, s) in MODES.iter().zip(samples.iter()) {
                 w = w.field(
                     mode.label(),
@@ -310,13 +301,11 @@ fn write_json(results: &[(&str, [Sample; 5])], sharded: &E18Report) {
                     .field("packet_heap_bytes", heap)
                     .field("bytes_per_packet", Json::f(heap as f64 / backlog as f64, 1));
             }
-            let rr = reference.steps as f64 / reference.secs;
             let rp = pipeline.steps as f64 / pipeline.secs;
             let rs = sentinel.steps as f64 / sentinel.secs;
             let rt = telemetry.steps as f64 / telemetry.secs;
             let ro = observe.steps as f64 / observe.secs;
-            w.field("speedup", Json::f(rp / rr, 3))
-                .field("sentinel_vs_pipeline", Json::f(rs / rp, 3))
+            w.field("sentinel_vs_pipeline", Json::f(rs / rp, 3))
                 .field("telemetry_vs_pipeline", Json::f(rt / rp, 3))
                 .field("observe_vs_pipeline", Json::f(ro / rp, 3))
         })
@@ -347,7 +336,7 @@ fn write_json(results: &[(&str, [Sample; 5])], sharded: &E18Report) {
 
 fn bench(c: &mut Criterion) {
     let samples = if smoke() { 1 } else { 3 };
-    // Record the G_ε adversary once; replays drive both pipelines.
+    // Record the G_ε adversary once; replays drive every mode.
     let construction = {
         let mut cfg = InstabilityConfig::new(1, 4);
         cfg.iterations = 1;
@@ -365,7 +354,7 @@ fn bench(c: &mut Criterion) {
     let run = construction.run().expect("legal adversary");
 
     type Workload<'a> = (&'a str, Box<dyn Fn(Mode) -> Sample + 'a>, u64);
-    let mut results: Vec<(&str, [Sample; 5])> = Vec::new();
+    let mut results: Vec<(&str, [Sample; 4])> = Vec::new();
     let workloads: Vec<Workload> = vec![
         (
             "instability",
@@ -388,33 +377,28 @@ fn bench(c: &mut Criterion) {
         let mut g = c.benchmark_group(format!("engine/{name}"));
         g.sample_size(samples);
         g.throughput(Throughput::Elements(*steps));
-        let mut triple: Vec<Sample> = Vec::new();
+        let mut best_of: Vec<Sample> = Vec::new();
         for mode in MODES {
             let mut batch: Vec<Sample> = Vec::new();
             g.bench_with_input(BenchmarkId::from_parameter(mode.label()), &mode, |b, &m| {
                 b.iter(|| batch.push(workload(m)));
             });
-            triple.push(best(&batch));
+            best_of.push(best(&batch));
         }
         g.finish();
-        results.push((
-            name,
-            [triple[0], triple[1], triple[2], triple[3], triple[4]],
-        ));
+        results.push((name, [best_of[0], best_of[1], best_of[2], best_of[3]]));
     }
 
-    for (name, [reference, pipeline, sentinel, telemetry, observe]) in &results {
-        let rr = reference.steps as f64 / reference.secs;
+    for (name, [pipeline, sentinel, telemetry, observe]) in &results {
         let rp = pipeline.steps as f64 / pipeline.secs;
         let rs = sentinel.steps as f64 / sentinel.secs;
         let rt = telemetry.steps as f64 / telemetry.secs;
         let ro = observe.steps as f64 / observe.secs;
         println!(
-            "engine/{name}: {rr:.0} -> {rp:.0} steps/s ({:.2}x); \
+            "engine/{name}: {rp:.0} steps/s; \
              with sentinel {rs:.0} ({:.3} of pipeline); \
              with telemetry {rt:.0} ({:.3} of pipeline); \
              with observatory {ro:.0} ({:.3} of pipeline)",
-            rp / rr,
             rs / rp,
             rt / rp,
             ro / rp

@@ -33,17 +33,6 @@ pub struct GadgetHandles {
 }
 
 impl GadgetHandles {
-    /// All edges belonging to this gadget, including its boundary edges
-    /// (note boundary edges are shared with neighbours in a chain).
-    pub fn all_edges(&self) -> Vec<EdgeId> {
-        let mut v = Vec::with_capacity(2 + self.e_path.len() + self.f_path.len());
-        v.push(self.ingress);
-        v.extend_from_slice(&self.e_path);
-        v.extend_from_slice(&self.f_path);
-        v.push(self.egress);
-        v
-    }
-
     /// The gadget parameter `n` (length of each internal path).
     pub fn n(&self) -> usize {
         self.e_path.len()

@@ -27,12 +27,8 @@
 //!   sweep tooling.
 //! * [`partition`] — edge-partition heuristics (contiguous chain cuts,
 //!   striping) for the sharded engine.
-//! * [`blueprint`] — generic gadget composition (Section 5's "the
-//!   technique can be applied to various gadgets"), with the paper's
-//!   `F_n` and a `k`-way generalization as instances.
 
 pub mod analysis;
-pub mod blueprint;
 pub mod builder;
 pub mod catalog;
 pub mod dot;

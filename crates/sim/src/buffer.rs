@@ -14,11 +14,10 @@
 //!   instability runs spends most of its time in regimes where a
 //!   handful of the graph's edges hold enormous backlogs and every
 //!   other buffer is empty (gadget boundaries, drain phases). Scanning
-//!   all `E` buffers per step — the pre-refactor behaviour, retained
-//!   as [`crate::EngineConfig::reference_pipeline`] — is O(E) of pure
-//!   overhead in exactly the runs that need the most steps. The store
-//!   therefore maintains the invariant *every nonempty buffer is in
-//!   an active list*; substep 1 iterates only those lists.
+//!   all `E` buffers per step is O(E) of pure overhead in exactly the
+//!   runs that need the most steps. The store therefore maintains the
+//!   invariant *every nonempty buffer is in an active list*; substep 1
+//!   iterates only those lists.
 //! * **Edge shards.** Under the sharded engine (`crate::shard`), the
 //!   store keeps one active list *per shard* — edge `e` is listed in
 //!   `lists[shard_of[e]]` — so each shard's send substep walks only its

@@ -190,31 +190,6 @@ impl Schedule {
         injected
     }
 
-    /// Like [`Schedule::inject_stream`], but the route and tag of each
-    /// packet are chosen per index by `f` (0-based). The paper's
-    /// Lemma 3.15 uses this shape: "the first `n` packets have path of
-    /// length 1, and the rest have the path `a, f_1, …, f_n, a'`";
-    /// Lemma 3.16's two back-to-back streams on `a_2` are likewise one
-    /// rate-r stream whose cohort changes at an index boundary.
-    pub fn inject_stream_with(
-        &mut self,
-        start: Time,
-        duration: u64,
-        rate: Ratio,
-        mut f: impl FnMut(u64) -> (Route, u32),
-    ) -> u64 {
-        let mut injected = 0u64;
-        for k in 1..=duration {
-            let want = rate.floor_mul(k);
-            if want > injected {
-                let (route, tag) = f(injected);
-                self.inject_at(start + k - 1, route, tag);
-                injected = want;
-            }
-        }
-        injected
-    }
-
     /// Inject exactly `count` packets at rate `r` starting at `start`
     /// (the stream simply stops once `count` packets are out — the
     /// paper's "X packets are injected in the first X·(1/r) time steps

@@ -38,6 +38,7 @@ use std::io::{BufRead, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use adversarial_queuing::analysis::stats::quantile;
 use adversarial_queuing::analysis::Table;
 use adversarial_queuing::prelude::{topologies, EdgeId, Fifo, Route};
 use adversarial_queuing::sim::{
@@ -289,22 +290,6 @@ fn parse(path: &Path) -> std::io::Result<TraceData> {
 
 // ------------------------------------------------------------ analysis
 
-/// The `p`-quantile of a per-edge depth history: `samples` holds the
-/// nonzero observations, the edge was implicitly 0 on the other
-/// `ticks - samples.len()` ticks.
-fn percentile(sorted: &[u32], zeros: usize, p: f64) -> u32 {
-    let n = zeros + sorted.len();
-    if n == 0 {
-        return 0;
-    }
-    let idx = ((n - 1) as f64 * p).round() as usize;
-    if idx < zeros {
-        0
-    } else {
-        sorted[idx - zeros]
-    }
-}
-
 fn backlog_tables(ticks: &[BacklogTick]) {
     // Per-edge depth histories from the sparse (edge, depth) pairs.
     let mut by_edge: std::collections::BTreeMap<u32, Vec<u32>> = std::collections::BTreeMap::new();
@@ -315,16 +300,14 @@ fn backlog_tables(ticks: &[BacklogTick]) {
     }
     let mut rows: Vec<(u32, u32, u32, u32, u32)> = by_edge
         .into_iter()
-        .map(|(e, mut samples)| {
-            samples.sort_unstable();
-            let zeros = ticks.len() - samples.len();
-            (
-                e,
-                percentile(&samples, zeros, 0.50),
-                percentile(&samples, zeros, 0.90),
-                percentile(&samples, zeros, 0.99),
-                *samples.last().unwrap_or(&0),
-            )
+        .map(|(e, samples)| {
+            // `samples` holds the nonzero observations; the edge was
+            // implicitly 0 on the other ticks.
+            let mut depths = vec![0.0; ticks.len() - samples.len()];
+            depths.extend(samples.iter().map(|&d| f64::from(d)));
+            let q = |p| quantile(&depths, p) as u32;
+            let max = samples.iter().copied().max().unwrap_or(0);
+            (e, q(0.50), q(0.90), q(0.99), max)
         })
         .collect();
     rows.sort_by_key(|&(e, _, _, p99, max)| (std::cmp::Reverse((max, p99)), e));

@@ -1,10 +1,11 @@
 //! The staged step pipeline (active-edge iteration + discipline fast
-//! paths) must be trajectory-identical to the retained pre-refactor
-//! reference loop (`EngineConfig::reference_pipeline`): same buffers,
-//! same metrics counters and series, same fault log, for every
-//! protocol, schedule, and fault plan. These tests are the license for
-//! the engine's fast path — if one fails, the optimization changed the
-//! model.
+//! paths + batched admission) must be trajectory-identical to the
+//! naive reference model (`oracle::ReferenceModel`), for every
+//! protocol, schedule, and fault plan. Each run attaches the lockstep
+//! oracle at cadence 1 with a second, identically seeded protocol
+//! instance, so a divergence fails `step` at the exact step it
+//! happens. These tests are the license for the engine's fast path —
+//! if one fails, the optimization changed the model.
 
 use std::sync::Arc;
 
@@ -12,7 +13,9 @@ use aqt_core::instability::{InstabilityConfig, InstabilityConstruction};
 use aqt_graph::{topologies, EdgeId, Graph, Route};
 use aqt_protocols::registry::{by_name, protocol_names};
 use aqt_protocols::Fifo;
-use aqt_sim::{snapshot, Engine, EngineConfig, FaultPlan, Injection, Metrics, Protocol, Schedule};
+use aqt_sim::{
+    snapshot, Engine, EngineConfig, FaultEvent, FaultPlan, Injection, Metrics, Protocol, Schedule,
+};
 use proptest::prelude::*;
 
 /// A length-3 route around `ring(6)` starting at edge `start`.
@@ -25,23 +28,72 @@ fn ring_route(g: &Arc<Graph>, start: u64) -> Route {
     Route::new(g, ids).expect("contiguous ring edges")
 }
 
-fn config(reference: bool) -> EngineConfig {
+fn config() -> EngineConfig {
     EngineConfig {
         sample_every: 3,
-        reference_pipeline: reference,
         ..Default::default()
+    }
+}
+
+/// An engine running protocol `name` with the lockstep oracle diffing
+/// every step against a second instance of the same protocol.
+fn checked_engine(g: &Arc<Graph>, name: &str, seed: u64) -> Engine<Box<dyn Protocol>> {
+    let mut eng = Engine::new(Arc::clone(g), by_name(name, seed).unwrap(), config());
+    eng.attach_oracle(by_name(name, seed).unwrap(), 1);
+    eng
+}
+
+/// What the reference model predicts for the send substep of a run:
+/// one outage-suppressed send per nonempty down edge, and one crossing
+/// per nonempty up edge, step by step.
+struct SendLedger {
+    outages: Vec<FaultEvent>,
+    crossings: Vec<u64>,
+}
+
+impl SendLedger {
+    fn new(edge_count: usize) -> Self {
+        SendLedger {
+            outages: Vec::new(),
+            crossings: vec![0; edge_count],
+        }
+    }
+
+    /// Account for step `t` from the reference model's state before
+    /// it.
+    fn before_step<P: Protocol>(&mut self, eng: &Engine<P>, t: u64) {
+        let model = eng.oracle().expect("oracle attached").model().to_snapshot();
+        for (ei, buf) in model.buffers.iter().enumerate() {
+            if buf.is_empty() {
+                continue;
+            }
+            let edge = EdgeId(ei as u32);
+            if eng.faults().is_some_and(|f| f.edge_down(edge, t)) {
+                self.outages
+                    .push(FaultEvent::OutageSuppressedSend { time: t, edge });
+            } else {
+                self.crossings[ei] += 1;
+            }
+        }
     }
 }
 
 /// Drive `steps` steps, injecting per the decoded plan: at step `t`,
 /// one packet for every entry `(t, start)` in `inj`.
-fn drive<P: Protocol>(eng: &mut Engine<P>, g: &Arc<Graph>, inj: &[(u64, u64)], steps: u64) {
+fn drive<P: Protocol>(
+    eng: &mut Engine<P>,
+    g: &Arc<Graph>,
+    inj: &[(u64, u64)],
+    steps: u64,
+    ledger: &mut SendLedger,
+) {
     for t in 1..=steps {
         let packets: Vec<Injection> = inj
             .iter()
             .filter(|&&(at, _)| at == t)
             .map(|&(_, start)| Injection::new(ring_route(g, start), start as u32))
             .collect();
+        ledger.before_step(eng, t);
         eng.step(packets).unwrap();
     }
 }
@@ -61,9 +113,10 @@ fn assert_counters_equal(a: &Metrics, b: &Metrics) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random schedules x all protocols x random fault plans: the two
-    /// pipelines produce the same snapshot, metrics, fault log, and
-    /// the books balance.
+    /// Random schedules x all protocols x random fault plans: the
+    /// pipeline tracks the reference model every step, its outage log
+    /// and per-edge crossings are the ones the model's states predict,
+    /// and the books balance.
     #[test]
     fn pipelines_agree_on_random_runs(
         proto in 0usize..9,
@@ -96,39 +149,34 @@ proptest! {
             );
         }
 
-        let mut fast = Engine::new(
-            Arc::clone(&g),
-            by_name(name, 11).unwrap(),
-            config(false),
-        );
-        let mut slow = Engine::new(
-            Arc::clone(&g),
-            by_name(name, 11).unwrap(),
-            config(true),
-        );
-        fast.install_faults(plan.clone()).unwrap();
-        slow.install_faults(plan).unwrap();
+        let mut eng = checked_engine(&g, name, 11);
+        eng.install_faults(plan).unwrap();
+        let mut ledger = SendLedger::new(g.edge_count());
+        drive(&mut eng, &g, &inj, 70, &mut ledger);
 
-        drive(&mut fast, &g, &inj, 70);
-        drive(&mut slow, &g, &inj, 70);
-
-        prop_assert_eq!(snapshot::capture(&fast), snapshot::capture(&slow));
-        prop_assert_eq!(fast.fault_log(), slow.fault_log());
-        assert_counters_equal(fast.metrics(), slow.metrics());
+        let outages: Vec<FaultEvent> = eng
+            .fault_log()
+            .iter()
+            .filter(|e| matches!(e, FaultEvent::OutageSuppressedSend { .. }))
+            .cloned()
+            .collect();
+        prop_assert_eq!(outages, ledger.outages);
+        prop_assert_eq!(eng.metrics().crossings_per_edge(), &ledger.crossings[..]);
 
         // packet conservation, independently recounted
-        let live: u64 = g.edge_ids().map(|e| fast.queue_len(e) as u64).sum();
-        let m = fast.metrics();
+        let live: u64 = g.edge_ids().map(|e| eng.queue_len(e) as u64).sum();
+        let m = eng.metrics();
         prop_assert_eq!(m.injected() + m.duplicated(), m.absorbed() + m.dropped() + live);
     }
 
     /// Random cohort bursts x all protocols x random fault plans: a
     /// single `Injection::cohort(route, tag, n)` must be
     /// trajectory-identical to `n` consecutive singleton injections at
-    /// the same step — through the staged pipeline AND through the
-    /// reference loop. This pins the batched admission path (one route
-    /// intern, one buffer range-extend) to the one-packet-at-a-time
-    /// semantics of the model.
+    /// the same step, and both must track the reference model, which
+    /// mirrors every cohort as `n` single admissions. This pins the
+    /// batched admission path (one route intern, one buffer
+    /// range-extend) to the one-packet-at-a-time semantics of the
+    /// model.
     #[test]
     fn cohorts_are_identical_to_singleton_injections(
         proto in 0usize..9,
@@ -148,12 +196,8 @@ proptest! {
             plan = plan.with_drop(EdgeId((d % 6) as u32), 1 + d / 6);
         }
 
-        let run = |batched: bool, reference: bool| {
-            let mut eng = Engine::new(
-                Arc::clone(&g),
-                by_name(name, 11).unwrap(),
-                config(reference),
-            );
+        let run = |batched: bool| {
+            let mut eng = checked_engine(&g, name, 11);
             eng.install_faults(plan.clone()).unwrap();
             let seed_route = ring_route(&g, 0);
             if batched {
@@ -183,20 +227,11 @@ proptest! {
             eng
         };
 
-        let batched_fast = run(true, false);
-        let singles_fast = run(false, false);
-        let batched_slow = run(true, true);
+        let batched = run(true);
+        let singles = run(false);
 
-        prop_assert_eq!(
-            snapshot::capture(&batched_fast),
-            snapshot::capture(&singles_fast)
-        );
-        prop_assert_eq!(
-            snapshot::capture(&batched_fast),
-            snapshot::capture(&batched_slow)
-        );
-        assert_counters_equal(batched_fast.metrics(), singles_fast.metrics());
-        assert_counters_equal(batched_fast.metrics(), batched_slow.metrics());
+        prop_assert_eq!(snapshot::capture(&batched), snapshot::capture(&singles));
+        assert_counters_equal(batched.metrics(), singles.metrics());
     }
 }
 
@@ -206,31 +241,26 @@ proptest! {
 fn pipelines_agree_for_every_protocol_through_a_drain() {
     let g = Arc::new(topologies::ring(6));
     for &name in protocol_names() {
-        let mut fast = Engine::new(Arc::clone(&g), by_name(name, 5).unwrap(), config(false));
-        let mut slow = Engine::new(Arc::clone(&g), by_name(name, 5).unwrap(), config(true));
-        for eng in [&mut fast, &mut slow] {
-            for t in 1..=40u64 {
-                let inj: Vec<Injection> = (0..(t % 4))
-                    .map(|k| Injection::new(ring_route(&g, t + k), t as u32))
-                    .collect();
-                eng.step(inj).unwrap();
-            }
-            // quiet drain: the active-edge set shrinks to nothing
-            eng.run_quiet(60).unwrap();
+        let mut eng = checked_engine(&g, name, 5);
+        for t in 1..=40u64 {
+            let inj: Vec<Injection> = (0..(t % 4))
+                .map(|k| Injection::new(ring_route(&g, t + k), t as u32))
+                .collect();
+            eng.step(inj)
+                .unwrap_or_else(|e| panic!("{name}: diverged from the reference model: {e}"));
         }
-        assert_eq!(
-            snapshot::capture(&fast),
-            snapshot::capture(&slow),
-            "{name}: snapshots diverge"
-        );
-        assert_counters_equal(fast.metrics(), slow.metrics());
-        assert_eq!(fast.backlog(), 0, "{name}: drain must complete");
+        // quiet drain: the active-edge set shrinks to nothing
+        eng.run_quiet(60)
+            .unwrap_or_else(|e| panic!("{name}: diverged from the reference model: {e}"));
+        assert_eq!(eng.backlog(), 0, "{name}: drain must complete");
     }
 }
 
 /// The recorded Theorem 3.17 adversary (which exercises `Extend` ops —
 /// the Lemma 3.3 reroutes — plus massive single-edge backlogs) replays
-/// identically through both pipelines.
+/// in lockstep with the reference model. The engine seeds its initial
+/// set as one cohort and the model packet by packet, pinning batched
+/// seeding to singleton seeding on the heavyweight fixture as well.
 #[test]
 fn pipelines_agree_on_a_recorded_instability_run() {
     let mut cfg = InstabilityConfig::new(1, 4);
@@ -246,29 +276,15 @@ fn pipelines_agree_on_a_recorded_instability_run() {
     let ingress = construction.geps.ingress();
     let unit = Route::single(&graph, ingress).expect("unit route");
 
-    // The fast replica seeds its initial set as one cohort, the
-    // reference replica packet by packet — pinning batched seeding to
-    // singleton seeding on the heavyweight fixture as well.
-    let replay = |reference: bool| {
-        let mut eng = Engine::new(Arc::clone(&graph), Fifo, config(reference));
-        if reference {
-            for _ in 0..run.s_star {
-                eng.seed(unit.clone(), 0).expect("seeding");
-            }
-        } else {
-            eng.seed_cohort(unit.clone(), 0, run.s_star)
-                .expect("seeding");
-        }
-        let sched: Schedule = run.recorded.clone();
-        sched.run(&mut eng, run.total_steps).expect("replay");
-        eng
-    };
-    let fast = replay(false);
-    let slow = replay(true);
+    let mut eng = Engine::new(Arc::clone(&graph), Fifo, config());
+    eng.attach_oracle(Box::new(Fifo), 1);
+    eng.seed_cohort(unit, 0, run.s_star).expect("seeding");
+    let sched: Schedule = run.recorded.clone();
+    sched
+        .run(&mut eng, run.total_steps)
+        .expect("replay tracks the reference model");
 
-    assert_eq!(snapshot::capture(&fast), snapshot::capture(&slow));
-    assert_counters_equal(fast.metrics(), slow.metrics());
-    // and both match the driver's own measurement of the final queue
+    // and it matches the driver's own measurement of the final queue
     let s_end = run.iterations.last().expect("one iteration").s_end;
-    assert_eq!(fast.backlog(), s_end);
+    assert_eq!(eng.backlog(), s_end);
 }
